@@ -267,7 +267,7 @@ int main() {
         scale_config(1, static_cast<std::size_t>(std::max(requests, 256)), 0.0);
     serve::InferenceRouter router(rc);
     const int cal = std::max(64, requests / 4);
-    // Warm-up pass compiles the plans and spins the pool off the clock.
+    // Warm-up pass spins the pool and the shard workers off the clock.
     for (int i = 0; i < 8; ++i)
       (void)router.submit(models, serve::ModelKind::kCongestion, inputs_f[0]).get();
     Timer timer;

@@ -7,18 +7,15 @@
 // Knobs: LACO_SERVE_REQUESTS (default 512), LACO_SERVE_GRID (default
 // 32), LACO_SERVE_CLIENTS (default 8).
 #include <cmath>
-#include <functional>
 #include <future>
 #include <memory>
 #include <random>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "models/congestion_fcn.hpp"
 #include "obs/bench_report.hpp"
-#include "plan/plan_cache.hpp"
 #include "serve/service.hpp"
 
 namespace laco::bench {
@@ -163,87 +160,34 @@ int main() {
   report.set_metric("best_speedup", best_rps / baseline_rps);
   report.set_metric("exact_outputs", exact ? 1.0 : 0.0);
 
-  // Compiled-plan A/B (docs/PLAN.md): same service config with the plan
-  // path off (eager forwards) and on. Each mode gets a warm-up pass so
-  // the plan compile and service spin-up are off the clock; the alloc
-  // count is the nn.tensor.allocs delta over the measured pass.
-  std::cout << "\n==== compiled plans: plan-off vs plan-on (threads=4, max_batch=8) ====\n";
-  Table ptable({"plans", "req_per_s", "p50_ms", "p95_ms", "allocs_per_req", "max_abs_err"});
-  double plan_rps[2] = {0.0, 0.0};
-  bool plan_exact = true;
-  for (const bool enabled : {false, true}) {
-    plan::set_plans_enabled(enabled);
-    (void)run_sweep(models, inputs, expected, 4, 8, clients);  // warm-up
-    const std::uint64_t allocs_before = nn::tensor_alloc_count();
-    const SweepResult r = run_sweep(models, inputs, expected, 4, 8, clients);
-    const double allocs_per_req =
-        static_cast<double>(nn::tensor_alloc_count() - allocs_before) / requests;
-    plan_rps[enabled ? 1 : 0] = r.rps;
-    plan_exact = plan_exact && r.max_err == 0.0;
-    const std::string tag = enabled ? "plan_on" : "plan_off";
-    ptable.add_row({enabled ? "on" : "off", Table::fmt(r.rps, 1), Table::fmt(r.p50, 2),
-                    Table::fmt(r.p95, 2), Table::fmt(allocs_per_req, 2),
-                    Table::fmt(r.max_err, 9)});
-    report.set_metric(tag + "_rps", r.rps);
-    report.set_metric(tag + "_p50_ms", r.p50);
-    report.set_metric(tag + "_p95_ms", r.p95);
-    report.set_metric(tag + "_allocs_per_req", allocs_per_req);
-  }
-  plan::set_plans_enabled(true);
-  exact = exact && plan_exact;
-  std::cout << ptable.to_string()
-            << (plan_exact ? "plan outputs are bitwise-identical to eager ones\n"
-                           : "WARNING: plan outputs deviate from eager ones\n");
-  report.set_metric("plan_speedup", plan_rps[1] / std::max(1e-9, plan_rps[0]));
-  report.set_metric("plan_exact_outputs", plan_exact ? 1.0 : 0.0);
-
-  // Direct forward A/B: one thread, no service queueing — isolates the
-  // executor against the eager graph walk. Allocs/forward on the plan
-  // path is exactly 1 (the output tensor); eager allocates one tensor
-  // per op.
+  // Direct forward: one thread, no service queueing — the eager graph
+  // walk alone. Allocs/forward is the nn.tensor.allocs delta per call
+  // (one tensor per op).
   {
     const int direct_iters = std::max(32, requests / 4);
     nn::Tensor batch = nn::Tensor::zeros({8, 3, grid, grid});
     for (float& v : batch.data()) v = uniform(rng);
-    const auto measure = [&](const std::function<void()>& fwd) {
-      fwd();  // warm-up (plan compile / cache warm)
-      std::vector<double> lat;
-      lat.reserve(static_cast<std::size_t>(direct_iters));
-      const std::uint64_t allocs_before = nn::tensor_alloc_count();
-      for (int i = 0; i < direct_iters; ++i) {
-        Timer t;
-        fwd();
-        lat.push_back(t.seconds() * 1e3);
-      }
-      const double allocs =
-          static_cast<double>(nn::tensor_alloc_count() - allocs_before) / direct_iters;
-      return std::tuple<double, double, double>(serve::percentile(lat, 50.0),
-                                                serve::percentile(lat, 95.0), allocs);
-    };
     nn::NoGradGuard guard;
-    const auto [eager_p50, eager_p95, eager_allocs] =
-        measure([&] { (void)models->congestion->forward(batch); });
-    plan::CompileResult compiled = plan::compile(
-        [&](const std::vector<nn::Tensor>& in) { return models->congestion->forward(in[0]); },
-        {batch});
-    plan::Workspace ws;
-    const auto [plan_p50, plan_p95, plan_allocs] = compiled.plan
-        ? measure([&] { (void)compiled.plan->run({batch}, ws); })
-        : std::tuple<double, double, double>(0.0, 0.0, 0.0);
+    (void)models->congestion->forward(batch);  // warm-up
+    std::vector<double> lat;
+    lat.reserve(static_cast<std::size_t>(direct_iters));
+    const std::uint64_t allocs_before = nn::tensor_alloc_count();
+    for (int i = 0; i < direct_iters; ++i) {
+      Timer t;
+      (void)models->congestion->forward(batch);
+      lat.push_back(t.seconds() * 1e3);
+    }
+    const double allocs =
+        static_cast<double>(nn::tensor_alloc_count() - allocs_before) / direct_iters;
+    const double p50 = serve::percentile(lat, 50.0);
+    const double p95 = serve::percentile(lat, 95.0);
     Table dtable({"path", "fwd_p50_ms", "fwd_p95_ms", "allocs_per_fwd"});
-    dtable.add_row({"eager", Table::fmt(eager_p50, 3), Table::fmt(eager_p95, 3),
-                    Table::fmt(eager_allocs, 2)});
-    dtable.add_row({"plan", Table::fmt(plan_p50, 3), Table::fmt(plan_p95, 3),
-                    Table::fmt(plan_allocs, 2)});
+    dtable.add_row({"eager", Table::fmt(p50, 3), Table::fmt(p95, 3), Table::fmt(allocs, 2)});
     std::cout << "\n==== direct forward (1 thread, batch 8, no service) ====\n"
               << dtable.to_string();
-    report.set_metric("direct_eager_p50_ms", eager_p50);
-    report.set_metric("direct_eager_p95_ms", eager_p95);
-    report.set_metric("direct_eager_allocs_per_fwd", eager_allocs);
-    report.set_metric("direct_plan_p50_ms", plan_p50);
-    report.set_metric("direct_plan_p95_ms", plan_p95);
-    report.set_metric("direct_plan_allocs_per_fwd", plan_allocs);
-    report.set_metric("direct_plan_speedup", eager_p50 / std::max(1e-9, plan_p50));
+    report.set_metric("direct_eager_p50_ms", p50);
+    report.set_metric("direct_eager_p95_ms", p95);
+    report.set_metric("direct_eager_allocs_per_fwd", allocs);
   }
   if (!report.write()) {
     std::cout << "WARNING: cannot write BENCH_serve.json\n";

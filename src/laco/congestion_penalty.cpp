@@ -8,7 +8,6 @@
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/plan_cache.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/serial.hpp"
@@ -167,12 +166,6 @@ nn::Tensor CongestionPenalty::assemble_f_input(const nn::Tensor& hi_input,
   nn::Tensor pred_hi =
       nn::upsample_bilinear(prediction, config_.features_hi.ny, config_.features_hi.nx);
   return nn::cat_channels({pred_hi, hi_input});
-}
-
-nn::Tensor CongestionPenalty::model_forward(const nn::Tensor& hi_input,
-                                            const nn::Tensor& lo_input,
-                                            const nn::Tensor& context) const {
-  return models_.congestion->forward(assemble_f_input(hi_input, lo_input, context));
 }
 
 double CongestionPenalty::operator()(const Design& design, int iteration,
@@ -368,31 +361,9 @@ bool CongestionPenalty::predict(const Design& design, GridMap& out) {
                     << "); using local path";
     }
   }
-  if (!prediction.defined() && plan::plans_enabled()) {
-    // Inference-only path: route the whole f∘g chain through the
-    // compiled-plan cache (docs/PLAN.md). Keyed on the congestion net's
-    // identity with a variant offset so the serve-side per-network plans
-    // (ModelKind-keyed) never collide on the same pointer.
-    std::vector<nn::Tensor> inputs;
-    if (traits_.uses_lookahead) {
-      inputs = {hi_input, lo_input, context};
-    } else {
-      inputs = {hi_input};
-    }
-    plan::PlanKey key{models_.congestion.get(), 1000 + static_cast<int>(models_.scheme),
-                      plan::shape_signature(inputs)};
-    auto plan_ptr = plan::shared_plan_cache().get_or_compile(
-        key, std::static_pointer_cast<const void>(models_.congestion), [&]() {
-          return plan::compile(
-              [this](const std::vector<nn::Tensor>& in) {
-                return traits_.uses_lookahead ? model_forward(in[0], in[1], in[2])
-                                              : model_forward(in[0], nn::Tensor(), nn::Tensor());
-              },
-              inputs);
-        });
-    if (plan_ptr) prediction = plan_ptr->run(inputs, plan_ws_);
+  if (!prediction.defined()) {
+    prediction = models_.congestion->forward(assemble_f_input(hi_input, lo_input, context));
   }
-  if (!prediction.defined()) prediction = model_forward(hi_input, lo_input, context);
   out = tensor_to_gridmap(prediction, 0, 0, design.core());
   return true;
 }

@@ -27,7 +27,6 @@
 #include "models/lookahead_simvp.hpp"
 #include "models/model_io.hpp"
 #include "placer/global_placer.hpp"
-#include "plan/plan.hpp"
 #include "train/scheme.hpp"
 #include "util/timer.hpp"
 
@@ -53,7 +52,7 @@ struct LacoModels {
 /// the look-ahead g forward) and, when a remote is set, delegates the
 /// congestion forward to it — typically serve::make_penalty_remote()
 /// wrapping an InferenceRouter. A throwing remote (shed, deadline,
-/// breaker open, model error) falls back to the local plan/eager path
+/// breaker open, model error) falls back to the local eager forward
 /// for that call. Gradients never cross the remote: operator()'s
 /// autograd path always runs locally. Defined here, implemented by the
 /// serve layer — laco stays below serve in the layer DAG
@@ -148,15 +147,10 @@ class CongestionPenalty {
   /// running any model.
   void build_feature_inputs(const Design& design, bool with_grad, nn::Tensor& hi_input,
                             nn::Tensor& lo_input, nn::Tensor& context);
-  /// Tensor-only model chain f∘g (g_in = cat(context, lo) → g → maybe
-  /// slice → upsample → f(cat(pred_hi, hi)); just f(hi) without
-  /// look-ahead). Pure function of its tensor arguments, so predict()
-  /// can trace it into a compiled plan (docs/PLAN.md).
-  nn::Tensor model_forward(const nn::Tensor& hi_input, const nn::Tensor& lo_input,
-                           const nn::Tensor& context) const;
-  /// Everything in model_forward up to (not including) the final f
-  /// forward: the g chain plus upsample/concat. Returns the tensor f
-  /// consumes — what a remote congestion forward receives.
+  /// Inference half of build_input: the g chain (g_in = cat(context,
+  /// lo) → g → maybe slice → upsample → cat(pred_hi, hi); just hi
+  /// without look-ahead). Returns the tensor f consumes — what a remote
+  /// congestion forward receives.
   nn::Tensor assemble_f_input(const nn::Tensor& hi_input, const nn::Tensor& lo_input,
                               const nn::Tensor& context) const;
   FeatureFrame compute_frame(const Design& design, const FeatureExtractor& extractor,
@@ -192,10 +186,6 @@ class CongestionPenalty {
   int consecutive_failures_ = 0;  ///< learned-path failures in a row
   int degraded_remaining_ = 0;    ///< analytic-only applications left
   RemoteCongestionForward remote_forward_;  ///< predict()'s f delegate (may be null)
-
-  /// Arena workspace reused across predict() calls (single-threaded
-  /// with the placer loop, like the rest of the penalty state).
-  plan::Workspace plan_ws_;
 };
 
 }  // namespace laco

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "nn/kernel_pool.hpp"
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
@@ -72,10 +71,6 @@ int pick_row_block(int rows, std::size_t floats_per_row, long long base_tiles) {
 }
 
 // ------------------------------------------------------------- conv2d
-
-// Raw-pointer kernels shared by the eager path and the traced plan
-// kernels (nn/op_trace.hpp) — one definition keeps plan replay
-// bitwise-equal to eager execution.
 
 struct Conv2dParams {
   int n, cin, h, w, cout, cin_g, kh, kw, oh, ow, cout_g, groups, stride, padding;
@@ -591,11 +586,6 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
 
   conv2d_forward(params, x.data().data(), weight.data().data(),
                  bias.defined() ? bias.data().data() : nullptr, out.data().data());
-  trace_op("conv2d", {&x, &weight, &bias}, out, [params]() -> OpKernel {
-    return [params](const float* const* in, float* o) {
-      conv2d_forward(params, in[0], in[1], in[2], o);
-    };
-  });
   return out;
 }
 
@@ -648,11 +638,6 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
 
   conv_transpose2d_forward(params, x.data().data(), weight.data().data(),
                            bias.defined() ? bias.data().data() : nullptr, out.data().data());
-  trace_op("conv_transpose2d", {&x, &weight, &bias}, out, [params]() -> OpKernel {
-    return [params](const float* const* in, float* o) {
-      conv_transpose2d_forward(params, in[0], in[1], in[2], o);
-    };
-  });
   return out;
 }
 

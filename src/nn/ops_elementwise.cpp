@@ -1,7 +1,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
@@ -18,7 +17,7 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 /// closure must NOT capture the output impl (self-reference cycle →
 /// leaked graphs); backward_fn's `self` parameter IS the output node.
 template <typename Fwd, typename Bwd>
-Tensor unary_op(const char* name, const Tensor& a, Fwd fwd, Bwd bwd) {
+Tensor unary_op(const Tensor& a, Fwd fwd, Bwd bwd) {
   auto ai = a.impl();
   Tensor out = make_op_output(a.shape(), {&a}, [ai, bwd](TensorImpl& self) {
     if (!ai->requires_grad) return;
@@ -30,26 +29,7 @@ Tensor unary_op(const char* name, const Tensor& a, Fwd fwd, Bwd bwd) {
   const auto& x = a.data();
   auto& y = out.data();
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = fwd(x[i]);
-  trace_op(name, {&a}, out, [fwd, n = x.size()]() -> OpKernel {
-    return [fwd, n](const float* const* in, float* o) {
-      const float* x_in = in[0];
-      for (std::size_t i = 0; i < n; ++i) o[i] = fwd(x_in[i]);
-    };
-  });
   return out;
-}
-
-/// Generic same-shape binary op forward: out[i] = combine(a[i], b[i]).
-template <typename Combine>
-void trace_binary(const char* name, const Tensor& a, const Tensor& b, const Tensor& out,
-                  Combine combine) {
-  trace_op(name, {&a, &b}, out, [combine, n = a.data().size()]() -> OpKernel {
-    return [combine, n](const float* const* in, float* o) {
-      const float* x = in[0];
-      const float* y = in[1];
-      for (std::size_t i = 0; i < n; ++i) o[i] = combine(x[i], y[i]);
-    };
-  });
 }
 
 }  // namespace
@@ -69,7 +49,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
     }
   });
   for (std::size_t i = 0; i < out.data().size(); ++i) out.data()[i] = a.data()[i] + b.data()[i];
-  trace_binary("add", a, b, out, [](float x, float y) { return x + y; });
   return out;
 }
 
@@ -88,7 +67,6 @@ Tensor sub(const Tensor& a, const Tensor& b) {
     }
   });
   for (std::size_t i = 0; i < out.data().size(); ++i) out.data()[i] = a.data()[i] - b.data()[i];
-  trace_binary("sub", a, b, out, [](float x, float y) { return x - y; });
   return out;
 }
 
@@ -107,25 +85,22 @@ Tensor mul(const Tensor& a, const Tensor& b) {
     }
   });
   for (std::size_t i = 0; i < out.data().size(); ++i) out.data()[i] = a.data()[i] * b.data()[i];
-  trace_binary("mul", a, b, out, [](float x, float y) { return x * y; });
   return out;
 }
 
 Tensor scale(const Tensor& a, float s) {
-  return unary_op(
-      "scale", a, [s](float x) { return x * s; }, [s](float, float) { return s; });
+  return unary_op(a, [s](float x) { return x * s; }, [s](float, float) { return s; });
 }
 
 Tensor add_scalar(const Tensor& a, float s) {
-  return unary_op(
-      "add_scalar", a, [s](float x) { return x + s; }, [](float, float) { return 1.0f; });
+  return unary_op(a, [s](float x) { return x + s; }, [](float, float) { return 1.0f; });
 }
 
 Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
 
 Tensor leaky_relu(const Tensor& a, float negative_slope) {
   return unary_op(
-      "leaky_relu", a, [negative_slope](float x) { return x >= 0.0f ? x : negative_slope * x; },
+      a, [negative_slope](float x) { return x >= 0.0f ? x : negative_slope * x; },
       [negative_slope](float x, float) { return x >= 0.0f ? 1.0f : negative_slope; });
 }
 
@@ -133,29 +108,27 @@ Tensor relu(const Tensor& a) { return leaky_relu(a, 0.0f); }
 
 Tensor sigmoid(const Tensor& a) {
   return unary_op(
-      "sigmoid", a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
+      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       [](float, float y) { return y * (1.0f - y); });
 }
 
 Tensor tanh_op(const Tensor& a) {
   return unary_op(
-      "tanh", a, [](float x) { return std::tanh(x); }, [](float, float y) { return 1.0f - y * y; });
+      a, [](float x) { return std::tanh(x); }, [](float, float y) { return 1.0f - y * y; });
 }
 
 Tensor exp_op(const Tensor& a) {
-  return unary_op(
-      "exp", a, [](float x) { return std::exp(x); }, [](float, float y) { return y; });
+  return unary_op(a, [](float x) { return std::exp(x); }, [](float, float y) { return y; });
 }
 
 Tensor log_op(const Tensor& a) {
   return unary_op(
-      "log", a, [](float x) { return std::log(std::max(x, 1e-12f)); },
+      a, [](float x) { return std::log(std::max(x, 1e-12f)); },
       [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
 }
 
 Tensor square(const Tensor& a) {
-  return unary_op(
-      "square", a, [](float x) { return x * x; }, [](float x, float) { return 2.0f * x; });
+  return unary_op(a, [](float x) { return x * x; }, [](float x, float) { return 2.0f * x; });
 }
 
 }  // namespace laco::nn

@@ -1,6 +1,5 @@
 #include <stdexcept>
 
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
@@ -75,11 +74,6 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
 
   linear_forward(n, in, out_f, x.data().data(), weight.data().data(),
                  bias.defined() ? bias.data().data() : nullptr, out.data().data());
-  trace_op("linear", {&x, &weight, &bias}, out, [n, in, out_f]() -> OpKernel {
-    return [n, in, out_f](const float* const* ins, float* o) {
-      linear_forward(n, in, out_f, ins[0], ins[1], ins[2], o);
-    };
-  });
   return out;
 }
 

@@ -12,15 +12,10 @@
 #include <vector>
 
 #include "nn/kernel_pool.hpp"
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
 namespace {
-
-// Shared between the eager forward and the traced plan kernel so
-// replay is bitwise-equal: statistics are recomputed from the input at
-// execution time with the same double accumulation.
 
 struct GroupNormParams {
   int n, c, num_groups, cg;
@@ -155,15 +150,6 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
 
   group_norm_forward(params, x.data().data(), gamma.data().data(), beta.data().data(),
                      means->data(), inv_stds->data(), out.data().data());
-  trace_op("group_norm", {&x, &gamma, &beta}, out, [params]() -> OpKernel {
-    return [params](const float* const* in, float* o) {
-      // Scratch for per-call statistics: local (not arena) so
-      // concurrent executions of the same plan never share state.
-      std::vector<float> k_means(static_cast<std::size_t>(params.n) * params.num_groups);
-      std::vector<float> k_inv_stds(k_means.size());
-      group_norm_forward(params, in[0], in[1], in[2], k_means.data(), k_inv_stds.data(), o);
-    };
-  });
   return out;
 }
 

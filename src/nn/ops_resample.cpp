@@ -2,7 +2,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
@@ -22,8 +21,6 @@ Lerp lerp_coeff(int o, int out_size, int in_size) {
   const float t = clamped - static_cast<float>(i0);
   return {i0, i1, 1.0f - t, t};
 }
-
-// Forward loops shared by the eager path and traced plan kernels.
 
 void upsample_bilinear_forward(int n, int c, int h, int w, int out_h, int out_w, const float* xd,
                                float* y) {
@@ -101,11 +98,6 @@ Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
       });
 
   upsample_bilinear_forward(n, c, h, w, out_h, out_w, x.data().data(), out.data().data());
-  trace_op("upsample_bilinear", {&x}, out, [n, c, h, w, out_h, out_w]() -> OpKernel {
-    return [n, c, h, w, out_h, out_w](const float* const* in, float* o) {
-      upsample_bilinear_forward(n, c, h, w, out_h, out_w, in[0], o);
-    };
-  });
   return out;
 }
 
@@ -142,11 +134,6 @@ Tensor avg_pool2d(const Tensor& x, int k) {
       });
 
   avg_pool2d_forward(n, c, h, w, oh, ow, k, inv, x.data().data(), out.data().data());
-  trace_op("avg_pool2d", {&x}, out, [n, c, h, w, oh, ow, k, inv]() -> OpKernel {
-    return [n, c, h, w, oh, ow, k, inv](const float* const* in, float* o) {
-      avg_pool2d_forward(n, c, h, w, oh, ow, k, inv, in[0], o);
-    };
-  });
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
@@ -18,9 +17,6 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
     for (std::size_t i = 0; i < ai->grad.size(); ++i) ai->grad[i] += self.grad[i];
   });
   out.data() = a.data();
-  trace_op("reshape", {&a}, out, [n = a.data().size()]() -> OpKernel {
-    return [n](const float* const* in, float* o) { std::copy(in[0], in[0] + n, o); };
-  });
   return out;
 }
 
@@ -80,22 +76,6 @@ Tensor cat_channels(const std::vector<Tensor>& tensors) {
     }
     c_off += c;
   }
-  trace_op("cat_channels", inputs, out, [channels, n, total_c, plane]() -> OpKernel {
-    return [channels, n, total_c, plane](const float* const* in, float* o) {
-      int off = 0;
-      for (std::size_t t = 0; t < channels.size(); ++t) {
-        const int c = channels[t];
-        for (int b = 0; b < n; ++b) {
-          const std::size_t dst = (static_cast<std::size_t>(b) * total_c + off) * plane;
-          const std::size_t src = static_cast<std::size_t>(b) * c * plane;
-          for (std::size_t i = 0; i < static_cast<std::size_t>(c) * plane; ++i) {
-            o[dst + i] = in[t][src + i];
-          }
-        }
-        off += c;
-      }
-    };
-  });
   return out;
 }
 
@@ -127,17 +107,6 @@ Tensor slice_channels(const Tensor& a, int begin, int end) {
       out.data()[dst + i] = a.data()[src + i];
     }
   }
-  trace_op("slice_channels", {&a}, out, [n, c, oc, begin, plane]() -> OpKernel {
-    return [n, c, oc, begin, plane](const float* const* in, float* o) {
-      for (int b = 0; b < n; ++b) {
-        const std::size_t src = (static_cast<std::size_t>(b) * c + begin) * plane;
-        const std::size_t dst = static_cast<std::size_t>(b) * oc * plane;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(oc) * plane; ++i) {
-          o[dst + i] = in[0][src + i];
-        }
-      }
-    };
-  });
   return out;
 }
 

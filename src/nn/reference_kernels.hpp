@@ -7,15 +7,15 @@
 // accumulation order, so tests pin *bitwise* equality of forwards and
 // backwards (tests/test_nn_kernels.cpp), not just rtol closeness.
 // Reference ops record the same autograd closures the naive ops did;
-// they are single-threaded, untimed, and never traced for plans —
-// production code must not call them.
+// they are single-threaded and untimed — production code must not
+// call them.
 #pragma once
 
 #include "nn/tensor.hpp"
 
 namespace laco::nn::reference {
 
-/// Naive nn::conv2d: full autograd, no op-trace hook, no tiling.
+/// Naive nn::conv2d: full autograd, no tiling.
 Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int stride = 1,
               int padding = 0, int groups = 1);
 

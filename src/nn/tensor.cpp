@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "nn/op_trace.hpp"
 #include "obs/metrics.hpp"
 
 namespace laco::nn {
@@ -103,10 +102,6 @@ Tensor Tensor::clone() const { return detach(); }
 Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
                       std::function<void(TensorImpl&)> backward_fn) {
   Tensor out = Tensor::zeros(std::move(shape));
-  // Tracing sees *every* op output, including ops that never call
-  // trace_op(); the plan compiler uses the mismatch to detect
-  // unsupported ops and fall back to eager execution.
-  if (OpTraceSink* sink = active_op_trace()) sink->note_output(out.impl());
   if (!grad_enabled()) return out;
   bool needs = false;
   for (const Tensor* in : inputs) {

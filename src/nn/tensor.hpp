@@ -127,8 +127,7 @@ Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
 /// Process-wide count of TensorImpl storage allocations (every zeros/
 /// full/from_data/detach/op-output). Exported as the `nn.tensor.allocs`
 /// counter via obs::MetricRegistry::global(); this accessor is the
-/// cheap read used by benches and the plan tests to assert the
-/// compiled-plan path performs ~0 allocations per forward.
+/// cheap read benches use to report allocations per forward.
 std::uint64_t tensor_alloc_count();
 
 }  // namespace laco::nn

@@ -19,8 +19,8 @@
 // CongestionPenalty's analytic path) instead of timing out late.
 //
 // Model replication: each shard gets its own clone_frozen() replica of
-// every model set routed through it, so batcher buckets, compiled-plan
-// cache entries, and circuit breakers key per (shard, model set, kind)
+// every model set routed through it, so batcher buckets and circuit
+// breakers key per (shard, model set, kind)
 // — a model broken on one shard trips only that shard's breaker.
 //
 // Thread-safety: submit() from any number of threads. The router mutex

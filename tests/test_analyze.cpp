@@ -148,7 +148,7 @@ TEST(AnalyzeTree, SerialRoundTripCoverageFlagsUntestedCodecs) {
 
 TEST(AnalyzeTree, LayerTableMatchesLinkGraph) {
   EXPECT_TRUE(analyze::layer_may_include("placer", "util"));   // transitive
-  EXPECT_TRUE(analyze::layer_may_include("serve", "plan"));    // direct
+  EXPECT_TRUE(analyze::layer_may_include("serve", "laco"));    // direct
   EXPECT_TRUE(analyze::layer_may_include("nn", "nn"));         // reflexive
   EXPECT_FALSE(analyze::layer_may_include("nn", "serve"));     // upward
   EXPECT_FALSE(analyze::layer_may_include("util", "gridmap")); // upward

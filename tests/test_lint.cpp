@@ -105,27 +105,6 @@ TEST(LintRules, CatchSwallowInFaultHandlingLayers) {
   EXPECT_TRUE(diags("catch_swallow.cpp", "tools/catch_swallow.cpp").empty());
 }
 
-TEST(LintRules, PlanHotPathMustNotAllocate) {
-  const auto expect_line = [](int line) {
-    return "src/plan/executor_fixture.cpp:" + std::to_string(line) +
-           ": [plan-hot-alloc] no allocations in the plan executor hot path: Tensor "
-           "factories, make_shared/make_unique, and container growth belong in "
-           "Workspace::prepare (docs/PLAN.md)";
-  };
-  const std::vector<std::string> expected = {expect_line(8),  expect_line(9),
-                                             expect_line(10), expect_line(11),
-                                             expect_line(12), expect_line(13),
-                                             expect_line(14), expect_line(15)};
-  EXPECT_EQ(diags("plan_hot_alloc.cpp", "src/plan/executor_fixture.cpp"), expected);
-  // The rule is scoped to executor translation units: the compiler and
-  // cache (cold path) allocate freely, as does everything outside
-  // src/plan.
-  EXPECT_TRUE(diags("plan_hot_alloc.cpp", "src/plan/compiler.cpp").empty());
-  EXPECT_TRUE(diags("plan_hot_alloc.cpp", "src/serve/batcher.cpp").empty());
-  // The real executor stays clean under its real relpath.
-  EXPECT_TRUE(diags("../../src/plan/executor.cpp", "src/plan/executor.cpp").empty());
-}
-
 TEST(LintRules, CleanFileHasNoDiagnostics) {
   EXPECT_TRUE(diags("clean.hpp", "src/fixture/clean.hpp").empty());
 }

@@ -186,7 +186,7 @@ INSTANTIATE_TEST_SUITE_P(ShapeSweep, ConvT2dDifferential, testing::ValuesIn(kCon
 TEST(ConvT2dDifferential, ZeroRegionInputBitwise) {
   // A half-zero input makes the skip path dominate.
   Tensor x = randn({1, 2, 6, 6}, 61);
-  for (std::size_t i = 0; i < x.numel() / 2; ++i) x.data()[i] = 0.0f;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(x.numel()) / 2; ++i) x.data()[i] = 0.0f;
   Tensor w = randn({2, 3, 4, 4}, 62);
   Tensor y = conv_transpose2d(x, w, Tensor(), 2, 1);
   Tensor yr = reference::conv_transpose2d(copy_of(x), copy_of(w), Tensor(), 2, 1);

@@ -338,14 +338,13 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
       {"features", {"netlist", "gridmap"}},
       {"metrics", {"gridmap", "netlist"}},
       {"nn", {"util", "obs"}},
-      {"plan", {"nn", "obs"}},
       {"models", {"nn", "gridmap", "features"}},
       {"placer", {"netlist", "features", "gridmap", "obs"}},
       {"router", {"netlist", "gridmap", "placer", "metrics"}},
       {"flows", {"placer", "router"}},
       {"train", {"models", "placer", "router", "flows", "metrics", "nn"}},
-      {"laco", {"train", "plan"}},
-      {"serve", {"laco", "plan"}},
+      {"laco", {"train"}},
+      {"serve", {"laco", "obs"}},
   };
   return deps;
 }

@@ -5,8 +5,8 @@
 // removed with exact line numbers preserved) and builds the project
 // include graph, so it can prove structural invariants:
 //
-//   - the layer DAG (util → obs → nn → plan → serve, …): no upward or
-//     cyclic includes between src/ subsystems,
+//   - the layer DAG (util → obs → nn → models → … → laco → serve): no
+//     upward or cyclic includes between src/ subsystems,
 //   - include hygiene (IWYU-lite unused project headers, duplicates,
 //     file-level include cycles),
 //   - lock discipline: LACO_GUARDED_BY fields only touched under a

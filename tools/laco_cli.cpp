@@ -32,14 +32,12 @@
 //
 //   laco serve [--models DIR] [--threads N] [--batch B] [--linger MS]
 //              [--requests R] [--clients C] [--grid G] [--kind K]
-//              [--stats-every-ms N] [--no-plan] [--shards N]
+//              [--stats-every-ms N] [--shards N]
 //       Stands up the resident batched inference service, drives a
 //       synthetic request load against it (from C client threads), and
 //       prints a throughput / latency / batching report against the
 //       single-threaded unbatched baseline. Without --models a random
 //       demo model set is used (throughput only, no trained weights).
-//       --no-plan disables the compiled-plan fast path (docs/PLAN.md)
-//       so forwards run eagerly — for A/B checks and bisection.
 //       --shards N fronts N independent service shards with the
 //       admission-controlled InferenceRouter (docs/SERVING.md).
 //
@@ -69,6 +67,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,8 +82,6 @@
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/plan_cache.hpp"
-#include "plan/verifier.hpp"
 #include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
@@ -117,35 +114,37 @@ struct Args {
   }
 };
 
+/// Throws std::invalid_argument naming the option when a valued
+/// option has no value or is followed by another `--option`.
 Args parse_args(int argc, char** argv, int first) {
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      // Boolean flags take no value; anything else would swallow the
-      // next token.
-      if (a == "--no-plan" || a == "--saturate" || a == "--resume") {
-        args.options[a.substr(2)] = "1";
-        continue;
-      }
-      // Both spellings: --key value and --key=value.
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 < argc) {
-        args.options[a.substr(2)] = argv[++i];
-        continue;
-      }
+    if (a.rfind("--", 0) != 0) {
+      args.positional.push_back(a);
+      continue;
     }
-    args.positional.push_back(a);
+    // Boolean flags take no value.
+    if (a == "--saturate" || a == "--resume") {
+      args.options[a.substr(2)] = "1";
+      continue;
+    }
+    // Both spellings: --key value and --key=value.
+    const std::size_t eq = a.find('=');
+    if (eq != std::string::npos) {
+      args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
+      continue;
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      throw std::invalid_argument("option " + a + " needs a value");
+    }
+    args.options[a.substr(2)] = argv[++i];
   }
   return args;
 }
 
 int usage() {
-  std::cerr << "usage: laco <generate|place|eval|train|serve|plan-verify> [args]\n"
+  std::cerr << "usage: laco <generate|place|eval|train|serve> [args]\n"
                "run with a subcommand and no args for its options\n";
   return 2;
 }
@@ -386,76 +385,6 @@ std::shared_ptr<const LacoModels> demo_models(bool with_lookahead) {
   return m;
 }
 
-/// `laco plan-verify [--models DIR] [--grid N]`: compile the model
-/// set's inference plans offline and run the plan IR verifier
-/// (src/plan/verifier.hpp) over each, printing nodes / arena layout /
-/// checks per plan. Exit 1 when any plan fails to compile or verify.
-int cmd_plan_verify(const Args& args) {
-  plan::set_verify_enabled(true);
-  const int grid = args.get_int("grid", 16);
-  std::shared_ptr<const LacoModels> models;
-  const std::string dir = args.get("models", "");
-  if (!dir.empty()) {
-    models = serve::shared_registry().get(dir);
-  } else {
-    models = demo_models(true);
-    std::cout << "no --models given: verifying a randomly initialized demo set\n";
-  }
-
-  std::mt19937 rng(11);
-  std::uniform_real_distribution<float> uniform(0.0f, 1.0f);
-  const auto random_input = [&](int channels) {
-    nn::Tensor t = nn::Tensor::zeros({1, channels, grid, grid});
-    for (float& v : t.data()) v = uniform(rng);
-    return t;
-  };
-
-  int bad = 0;
-  const auto run_case = [&](const std::string& name, const plan::TracedFn& fn,
-                            const std::vector<nn::Tensor>& inputs) {
-    const plan::CompileResult compiled = plan::compile(fn, inputs);
-    if (!compiled.plan) {
-      std::cout << name << ": REJECTED — " << compiled.error << '\n';
-      ++bad;
-      return;
-    }
-    const plan::VerifyReport report = plan::verify(*compiled.plan);
-    std::cout << name << ": " << compiled.plan->num_nodes() << " nodes, "
-              << compiled.plan->arena_spans().size() << " arena spans, "
-              << compiled.plan->arena_floats() * sizeof(float) << " arena bytes — "
-              << (report.ok() ? "OK" : "REJECTED") << " (" << report.checks_run
-              << " checks)\n";
-    if (!report.ok()) {
-      std::cout << report.str() << '\n';
-      ++bad;
-    }
-  };
-
-  {
-    const int c = models->congestion->config().in_channels;
-    run_case("f congestion [" + std::to_string(c) + 'x' + std::to_string(grid) + 'x' +
-                 std::to_string(grid) + "]",
-             [models](const std::vector<nn::Tensor>& in) {
-               return models->congestion->forward(in[0]);
-             },
-             {random_input(c)});
-  }
-  if (models->lookahead) {
-    const int c = models->lookahead->config().frames *
-                  models->lookahead->config().channels_per_frame;
-    run_case("g lookahead [" + std::to_string(c) + 'x' + std::to_string(grid) + 'x' +
-                 std::to_string(grid) + "]",
-             [models](const std::vector<nn::Tensor>& in) {
-               return models->lookahead->forward(in[0]).prediction;
-             },
-             {random_input(c)});
-  }
-
-  const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
-  std::cout << snap.to_string("plan.verify.");
-  return bad == 0 ? 0 : 1;
-}
-
 /// `laco serve --chaos RATE`: drive the service under injected faults
 /// and report SLO stats. The pass criterion is total completion: every
 /// submitted request resolves with a tensor or a clean typed error
@@ -671,7 +600,6 @@ int run_chaos(const Args& args, double rate) {
 }
 
 int cmd_serve(const Args& args) {
-  if (args.get_int("no-plan", 0) != 0) plan::set_plans_enabled(false);
   const double chaos = args.get_double("chaos", 0.0);
   if (chaos > 0.0) return run_chaos(args, chaos);
 
@@ -768,7 +696,7 @@ int cmd_serve(const Args& args) {
           if (stats_stop.load(std::memory_order_relaxed)) break;
           const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
           std::cout << "-- serve stats --\n"
-                    << snap.to_string("serve.") << snap.to_string("plan.");
+                    << snap.to_string("serve.");
         }
       });
     }
@@ -843,7 +771,7 @@ int cmd_serve(const Args& args) {
             << "batched vs sequential max |diff|: " << max_err << '\n'
             << "-- serve stats (final) --\n";
   const obs::MetricsSnapshot final_snap = obs::MetricRegistry::global().snapshot();
-  std::cout << final_snap.to_string("serve.") << final_snap.to_string("plan.");
+  std::cout << final_snap.to_string("serve.");
   return max_err <= 1e-5 ? 0 : 1;
 }
 
@@ -860,14 +788,19 @@ int main(int argc, char** argv) {
   }
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  Args args;
+  try {
+    args = parse_args(argc, argv, 2);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "laco " << command << ": " << e.what() << '\n';
+    return 2;
+  }
   try {
     if (command == "generate") return cmd_generate(args);
     if (command == "place") return cmd_place(args);
     if (command == "eval") return cmd_eval(args);
     if (command == "train") return cmd_train(args);
     if (command == "serve") return cmd_serve(args);
-    if (command == "plan-verify") return cmd_plan_verify(args);
   } catch (const std::exception& e) {
     std::cerr << "laco " << command << ": " << e.what() << '\n';
     return 1;

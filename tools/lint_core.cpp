@@ -62,12 +62,6 @@ std::vector<std::string> split_lines(const std::string& text) {
 bool in_src(const std::string& p) { return starts_with(p, "src/"); }
 bool in_tests(const std::string& p) { return starts_with(p, "tests/"); }
 bool in_serve_source(const std::string& p) { return starts_with(p, "src/serve/") && is_source(p); }
-// The plan executor hot path (docs/PLAN.md): every per-forward
-// allocation there defeats the arena design, so allocating constructs
-// are banned outright; preallocation belongs in Workspace::prepare.
-bool in_plan_hot_path(const std::string& p) {
-  return starts_with(p, "src/plan/") && p.find("executor") != std::string::npos;
-}
 // Fault-handling layers (docs/RELIABILITY.md): the serving stack and
 // the placement flow, where a silently swallowed exception turns into
 // a hung future or a placement that skips its penalty without a trace.
@@ -133,13 +127,6 @@ const std::regex& catch_all_re() {
   static const std::regex re("(^|[^A-Za-z0-9_])ca" "tch\\s*\\(\\s*\\.\\.\\.\\s*\\)");
   return re;
 }
-const std::regex& plan_alloc_re() {
-  static const std::regex re(
-      "Tensor::(ze" "ros|fu" "ll|from" "_data|sca" "lar)\\s*\\(|"
-      "make_sh" "ared|make_un" "ique|"
-      "(^|[^A-Za-z0-9_])(push_b" "ack|emplace_b" "ack|res" "ize|res" "erve)\\s*\\(");
-  return re;
-}
 
 /// `= delete;` (deleted special members) is not memory management.
 bool is_deleted_function(const std::string& line, std::size_t match_pos) {
@@ -166,16 +153,10 @@ void check_line_rules(const std::vector<std::string>& lines, const std::string& 
   const bool src = in_src(relpath);
   const bool check_iostream = (src || in_tests(relpath)) && !iostream_exempt(relpath);
   const bool check_rand = !rand_exempt(relpath);
-  const bool hot_path = in_plan_hot_path(relpath);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& line = lines[i];
     const int lineno = static_cast<int>(i) + 1;
     std::smatch m;
-    if (hot_path && std::regex_search(line, m, plan_alloc_re())) {
-      add(out, relpath, lineno, "plan-hot-alloc",
-          "no allocations in the plan executor hot path: Tensor factories, make_shared/"
-          "make_unique, and container growth belong in Workspace::prepare (docs/PLAN.md)");
-    }
     if (src && std::regex_search(line, m, assert_re())) {
       add(out, relpath, lineno, "bare-assert",
           "use LACO_CHECK/LACO_DCHECK (util/check.hpp); bare asserts vanish under NDEBUG");
