@@ -2,12 +2,15 @@
 // conv_transpose2d / group_norm kernels against the naive
 // nn::reference oracle at DREAM-Cong model shapes (CongestionFcn,
 // base_width 16, grid 64), checks bitwise agreement, and sweeps the
-// kernel pool over thread counts.
+// kernel pool over thread counts. The backward cases check x.grad and
+// w.grad of a full conv2d graph, and time the frozen-weight dX-only
+// backwards the placement penalty runs (opt_ns_*_dx), down to a whole
+// f∘g model (fg_bwd_over_fwd: backward time over forward time).
 //
 // Writes BENCH_nn_ops.json. Timing rows are machine-dependent; the
 // strict CI drift gate pins only the scale-invariant metrics
-// (exact_* bitwise flags and allocs_per_call_conv2d). Speedup and
-// thread-scaling keys are warn-only — on a single-core runner the
+// (exact_* bitwise flags and allocs_per_call_conv2d). Speedup, ratio
+// and thread-scaling keys are warn-only — on a single-core runner the
 // sweep is flat by construction (see settings.hw_threads).
 //
 // Knobs: LACO_NN_BENCH_GRID (default 64), LACO_NN_BENCH_ITERS
@@ -23,6 +26,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "models/congestion_fcn.hpp"
+#include "models/lookahead_simvp.hpp"
 #include "nn/autograd.hpp"
 #include "nn/kernel_pool.hpp"
 #include "nn/ops.hpp"
@@ -57,9 +62,39 @@ double time_best_ns(int iters, const std::function<void()>& fn) {
   return best;
 }
 
+/// Best-of-`iters` wall time of loss.backward() on a fresh graph from
+/// make_loss() each time; building the graph is not timed.
+double time_backward_best_ns(int iters, const std::function<nn::Tensor()>& make_loss) {
+  double best = 0.0;
+  for (int i = 0; i < iters; ++i) {
+    nn::Tensor loss = make_loss();
+    const std::uint64_t t0 = now_ns();
+    loss.backward();
+    const std::uint64_t t1 = now_ns();
+    const double ns = static_cast<double>(t1 - t0);
+    if (i == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(), a.numel() * sizeof(float)) == 0;
+  return a.shape() == b.shape() && bitwise_equal(a.data(), b.data());
+}
+
+/// Fresh leaf tensor with t's bits that requires grad.
+nn::Tensor grad_leaf(const nn::Tensor& t) {
+  nn::Tensor c = nn::Tensor::zeros(t.shape());
+  std::memcpy(c.data().data(), t.data().data(), t.numel() * sizeof(float));
+  c.set_requires_grad(true);
+  return c;
+}
+
+void freeze(nn::Module& m) {
+  for (nn::Tensor p : m.parameters()) p.set_requires_grad(false);
 }
 
 struct KernelCase {
@@ -143,10 +178,8 @@ int main() {
   }
 
   // Backward: full graph through the stride-1 conv (dW/db + dX passes).
-  double bwd_speedup = 0.0;
-  bool bwd_exact = true;
   {
-    auto bwd_once = [&](bool reference, std::vector<float>* wgrad) {
+    auto bwd_once = [&](bool reference, std::vector<float>* xgrad, std::vector<float>* wgrad) {
       nn::Tensor x = randn({1, width, grid, grid}, 21);
       nn::Tensor w = randn({width, width, 3, 3}, 22);
       nn::Tensor b = randn({width}, 23);
@@ -155,22 +188,79 @@ int main() {
       b.set_requires_grad(true);
       nn::Tensor y = reference ? nn::reference::conv2d(x, w, b, 1, 1) : nn::conv2d(x, w, b, 1, 1);
       nn::sum(y).backward();
+      if (xgrad != nullptr) *xgrad = x.grad();
       if (wgrad != nullptr) *wgrad = w.grad();
     };
-    std::vector<float> wg_opt, wg_ref;
-    bwd_once(false, &wg_opt);
-    bwd_once(true, &wg_ref);
-    bwd_exact = wg_opt.size() == wg_ref.size() &&
-                std::memcmp(wg_opt.data(), wg_ref.data(), wg_opt.size() * sizeof(float)) == 0;
+    std::vector<float> xg_opt, xg_ref, wg_opt, wg_ref;
+    bwd_once(false, &xg_opt, &wg_opt);
+    bwd_once(true, &xg_ref, &wg_ref);
+    const bool bwd_exact = bitwise_equal(xg_opt, xg_ref) && bitwise_equal(wg_opt, wg_ref);
     all_exact = all_exact && bwd_exact;
-    const double opt_ns = time_best_ns(iters, [&] { bwd_once(false, nullptr); });
-    const double ref_ns = time_best_ns(iters, [&] { bwd_once(true, nullptr); });
-    bwd_speedup = opt_ns > 0.0 ? ref_ns / opt_ns : 0.0;
+    const double opt_ns = time_best_ns(iters, [&] { bwd_once(false, nullptr, nullptr); });
+    const double ref_ns = time_best_ns(iters, [&] { bwd_once(true, nullptr, nullptr); });
+    const double bwd_speedup = opt_ns > 0.0 ? ref_ns / opt_ns : 0.0;
     reporter.set_metric("exact_conv2d_bwd", bwd_exact ? 1.0 : 0.0);
     reporter.set_metric("speedup_conv2d_bwd", bwd_speedup);
     std::cout << "conv2d_bwd: ref " << ref_ns / 1e6 << " ms, opt " << opt_ns / 1e6
               << " ms, speedup " << bwd_speedup << "x, bitwise "
               << (bwd_exact ? "OK" : "MISMATCH") << "\n";
+  }
+
+  // Frozen-weight backwards, dX only, as the placement penalty runs
+  // them: the stride-1 conv and the deconv (the deconv's dX is also
+  // checked against the reference).
+  {
+    const auto convt_dx = [&](bool reference) {
+      nn::Tensor x = grad_leaf(x2);
+      nn::Tensor y = reference ? nn::reference::conv_transpose2d(x, w_up, b_up, 2, 1)
+                               : nn::conv_transpose2d(x, w_up, b_up, 2, 1);
+      nn::sum(nn::square(y)).backward();
+      return x.grad();
+    };
+    const bool exact = bitwise_equal(convt_dx(false), convt_dx(true));
+    all_exact = all_exact && exact;
+    reporter.set_metric("exact_conv_transpose2d_bwd", exact ? 1.0 : 0.0);
+    const double conv_ns = time_backward_best_ns(iters, [&] {
+      return nn::sum(nn::square(nn::conv2d(grad_leaf(x1), w_s1, b_in, 1, 1)));
+    });
+    const double convt_ns = time_backward_best_ns(iters, [&] {
+      return nn::sum(nn::square(nn::conv_transpose2d(grad_leaf(x2), w_up, b_up, 2, 1)));
+    });
+    reporter.set_metric("opt_ns_conv2d_dx", conv_ns);
+    reporter.set_metric("opt_ns_conv_transpose2d_dx", convt_ns);
+    std::cout << "frozen-weight dX backward: conv2d_s1 " << conv_ns / 1e6
+              << " ms, conv_transpose2d " << convt_ns / 1e6 << " ms (bitwise "
+              << (exact ? "OK" : "MISMATCH") << ")\n";
+  }
+
+  // Whole f∘g with frozen weights, as the placement penalty evaluates
+  // it: g on a 4-frame x 5-channel history at grid/2, its prediction
+  // upsampled and stacked with a 3-channel current frame into f at
+  // grid; the loss is mean_square(f) and backward reaches the inputs.
+  {
+    LookAheadConfig gcfg;
+    gcfg.with_vae = false;
+    LookAheadModel g(gcfg);
+    CongestionFcnConfig fcfg;
+    fcfg.in_channels = gcfg.channels_per_frame + 3;
+    CongestionFcn f(fcfg);
+    freeze(g);
+    freeze(f);
+    const nn::Tensor hist =
+        randn({1, gcfg.frames * gcfg.channels_per_frame, grid / 2, grid / 2}, 31);
+    const nn::Tensor cur = randn({1, 3, grid, grid}, 32);
+    const auto fg_loss = [&] {
+      const nn::Tensor pred =
+          nn::upsample_bilinear(g.forward(grad_leaf(hist)).prediction, grid, grid);
+      return nn::mean_square(f.forward(nn::cat_channels({pred, grad_leaf(cur)})));
+    };
+    fg_loss().backward();  // warm-up
+    const double fwd_ns = time_best_ns(iters, [&] { fg_loss(); });
+    const double bwd_ns = time_backward_best_ns(iters, fg_loss);
+    const double ratio = fwd_ns > 0.0 ? bwd_ns / fwd_ns : 0.0;
+    reporter.set_metric("fg_bwd_over_fwd", ratio);
+    std::cout << "f∘g frozen weights: forward " << fwd_ns / 1e6 << " ms, backward "
+              << bwd_ns / 1e6 << " ms, backward/forward " << ratio << "\n";
   }
 
   // Eager forward allocates exactly one TensorImpl (the op output).

@@ -2,9 +2,20 @@
 //
 // Forwards are im2col + register-blocked GEMM over the padding-free
 // interior plus a tap-checked border path, parallelized over disjoint
-// output tiles via nn::parallel_tiles. Backwards are gather-style
-// passes parallelized over gradient-owner slices (one task per output
-// channel for dW/db, one per input channel image for dX).
+// output tiles via nn::parallel_tiles.
+//
+// Input gradients are dual forwards over the same weight tensor,
+// stride, padding and groups: conv2d dX is a conv_transpose2d forward
+// of gout and vice versa (each weight layout is the other's with the
+// channel roles swapped). The tiles' chains are the reference dX
+// chains: convT walks (ci asc, dy desc, dx desc) with its x == 0 skip,
+// i.e. the conv2d dX (co, y, xo) order with its gout == 0 skip; conv2d
+// walks (ci, dy, dx) ascending, the convT dX order. An internal
+// compile-time `kAccumulate` mode supplies each chain's start: the
+// convT tile seeds from x.grad, the conv2d tile stores y += acc. The
+// conv2d tile lacks the reference's gout == 0 skip; from +0, adding a
+// ±0 product is a bitwise no-op only for finite weights. Weight
+// gradients are gather passes, one task per gradient owner.
 //
 // Bitwise contract: every kernel reproduces the naive nn::reference
 // accumulation order *per output element* — bias first, then taps in
@@ -50,6 +61,12 @@ typedef int Vec8i __attribute__((vector_size(32)));
 #endif
 
 
+/// Writes acc[0, n) to dst — or, in accumulate mode, adds it to dst.
+template <bool kAccumulate, class Acc>
+void store_lanes(float* dst, const Acc& acc, int n) {
+  for (int j = 0; j < n; ++j) dst[j] = kAccumulate ? dst[j] + acc[j] : acc[j];
+}
+
 /// Per-worker im2col scratch, grown on demand and reused across tiles.
 thread_local std::vector<float> tl_col;
 
@@ -80,7 +97,11 @@ struct Conv2dParams {
 /// the group's output channels. Interior pixels (no padding taps) go
 /// through an im2col panel + 4-wide-channel GEMM; border pixels use the
 /// reference tap-checked gather. Both accumulate taps in (ci, ky, kx)
-/// ascending order starting from the bias — the reference order.
+/// ascending order starting from the bias — the reference order. In
+/// accumulate mode each finished chain is added to y instead of
+/// stored (the conv_transpose2d dX dual; bd is null there). It is a
+/// template parameter so the forward carries no per-store branch.
+template <bool kAccumulate>
 void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
                  float* y, int b, int g, int y0, int y1, int ry0, int ry1, int cx0, int cx1) {
   const int K = p.cin_g * p.kh * p.kw;
@@ -163,16 +184,12 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
             a2 += w2r[k] * c;
             a3 += w3r[k] * c;
           }
-          if (bw == kJB) {
+          if (bw == kJB && !kAccumulate) {
             __builtin_memcpy(yout, &a0, sizeof a0);
             __builtin_memcpy(yout + yplane, &a1, sizeof a1);
             __builtin_memcpy(yout + 2 * yplane, &a2, sizeof a2);
             __builtin_memcpy(yout + 3 * yplane, &a3, sizeof a3);
-          } else {
-            for (int j = 0; j < bw; ++j) yout[j] = a0[j];
-            for (int j = 0; j < bw; ++j) yout[yplane + j] = a1[j];
-            for (int j = 0; j < bw; ++j) yout[2 * yplane + j] = a2[j];
-            for (int j = 0; j < bw; ++j) yout[3 * yplane + j] = a3[j];
+            continue;
           }
 #else
           float a0[kJB], a1[kJB], a2[kJB], a3[kJB];
@@ -188,11 +205,11 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
               a3[j] += w3 * c;
             }
           }
-          for (int j = 0; j < bw; ++j) yout[j] = a0[j];
-          for (int j = 0; j < bw; ++j) yout[yplane + j] = a1[j];
-          for (int j = 0; j < bw; ++j) yout[2 * yplane + j] = a2[j];
-          for (int j = 0; j < bw; ++j) yout[3 * yplane + j] = a3[j];
 #endif
+          store_lanes<kAccumulate>(yout, a0, bw);
+          store_lanes<kAccumulate>(yout + yplane, a1, bw);
+          store_lanes<kAccumulate>(yout + 2 * yplane, a2, bw);
+          store_lanes<kAccumulate>(yout + 3 * yplane, a3, bw);
         }
         // Output-channel remainder: one register accumulator per
         // element, same bias-then-k-ascending chain over the panel.
@@ -204,7 +221,7 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
             float a = bd != nullptr ? bd[static_cast<std::size_t>(co)] : 0.0f;
             const float* pk = panel + j;
             for (int k = 0; k < K; ++k, pk += kJB) a += wr[k] * *pk;
-            yout[j] = a;
+            yout[j] = kAccumulate ? yout[j] + a : a;
           }
         }
       }
@@ -241,16 +258,16 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
             for (int dx = dx0; dx < dx1; ++dx) acc += xrow[dx] * wr[dx];
           }
         }
-        yrow[static_cast<std::size_t>(cr) * yplane] = acc;
+        float& dst = yrow[static_cast<std::size_t>(cr) * yplane];
+        dst = kAccumulate ? dst + acc : acc;
       }
     }
   }
 }
 
+template <bool kAccumulate>
 void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
                     float* y) {
-  static const OpStats stats = make_op_stats("conv2d");
-  OpTimer timer(stats);
   // Interior rectangle: output rows/cols whose every kernel tap is in
   // bounds (all of the output when padding == 0).
   const int ry0 = std::min(p.oh, (p.padding + p.stride - 1) / p.stride);
@@ -277,7 +294,7 @@ void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, con
     const int b = static_cast<int>(t / (static_cast<std::size_t>(nrb) * p.groups));
     const int y0 = rb * row_block;
     const int y1 = std::min(p.oh, y0 + row_block);
-    conv2d_tile(p, xd, wd, bd, y, b, g, y0, y1, ry0, ry1, cx0, cx1);
+    conv2d_tile<kAccumulate>(p, xd, wd, bd, y, b, g, y0, y1, ry0, ry1, cx0, cx1);
   });
 }
 
@@ -322,48 +339,6 @@ void conv2d_backward_wb(const Conv2dParams& p, const float* gout_d, const float*
   });
 }
 
-/// dX pass: one task per (batch, input channel) image. The gather
-/// iterates (co asc, dy desc, dx desc), which is exactly the
-/// reference's (co asc, y asc, xo asc) contribution order.
-void conv2d_backward_x(const Conv2dParams& p, const float* gout_d, const float* wd, float* xg) {
-  // LACO_DETERMINISTIC: task-per-(b, ci) ownership; (co, y, xo) ascending chain.
-  parallel_tiles(static_cast<std::size_t>(p.n) * p.cin, [&](std::size_t t) {
-    const int cig = static_cast<int>(t % p.cin);
-    const int b = static_cast<int>(t / p.cin);
-    const int g = cig / p.cin_g;
-    const int ci = cig % p.cin_g;
-    const std::size_t K = static_cast<std::size_t>(p.cin_g) * p.kh * p.kw;
-    for (int iy = 0; iy < p.h; ++iy) {
-      // Output rows that reach input row iy: y = (iy + padding − dy)/stride
-      // for some dy ∈ [0, kh) with exact divisibility — y ascending is
-      // exactly dy descending, the reference contribution order.
-      const int y_lo = std::max(0, div_ceil(iy + p.padding - p.kh + 1, p.stride));
-      const int y_hi = std::min(p.oh, (iy + p.padding) / p.stride + 1);
-      for (int ix = 0; ix < p.w; ++ix) {
-        const int xo_lo = std::max(0, div_ceil(ix + p.padding - p.kw + 1, p.stride));
-        const int xo_hi = std::min(p.ow, (ix + p.padding) / p.stride + 1);
-        float acc = xg[off4(b, cig, iy, ix, p.cin, p.h, p.w)];
-        for (int cr = 0; cr < p.cout_g; ++cr) {
-          const int co = g * p.cout_g + cr;
-          const float* wrow = wd + static_cast<std::size_t>(co) * K +
-                              static_cast<std::size_t>(ci) * p.kh * p.kw;
-          for (int y = y_lo; y < y_hi; ++y) {
-            const int dy = iy + p.padding - y * p.stride;
-            const float* __restrict grow = gout_d + off4(b, co, y, 0, p.cout, p.oh, p.ow);
-            const float* wk = wrow + dy * p.kw + (ix + p.padding);
-            for (int xo = xo_lo; xo < xo_hi; ++xo) {
-              const float gout = grow[xo];
-              if (gout == 0.0f) continue;
-              acc += gout * wk[-xo * p.stride];  // dx = ix + padding − xo·stride
-            }
-          }
-        }
-        xg[off4(b, cig, iy, ix, p.cin, p.h, p.w)] = acc;
-      }
-    }
-  });
-}
-
 // ---------------------------------------------------- conv_transpose2d
 
 struct ConvT2dParams {
@@ -379,7 +354,10 @@ struct ConvT2dParams {
 /// (ci asc, dy desc, dx desc), i.e. the reference's (ci, iy, ix)
 /// ascending order per element. The reference's x == 0 skip is
 /// reproduced exactly with a per-lane bit-select (skipped lanes keep
-/// their accumulator bits verbatim).
+/// their accumulator bits verbatim). In accumulate mode the chains
+/// start from the existing y instead of the bias (the conv2d dX dual,
+/// whose reference chain starts from x.grad).
+template <bool kAccumulate>
 void conv_transpose2d_tile(const ConvT2dParams& p, const float* xd, const float* wd,
                            const float* bd, float* y, int b, int cog, int y0, int y1) {
   const int g = cog / p.cout_g;
@@ -406,13 +384,13 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xd, const float*
 #if LACO_HAVE_VEC8
         const Vec8 zero = {};
         Vec8 acc[4];
-        for (int t = 0; t < 4; ++t)
-          for (int j = 0; j < 8; ++j) acc[t][j] = bval;
 #else
         float acc[4][8];
-        for (int t = 0; t < 4; ++t)
-          for (int j = 0; j < 8; ++j) acc[t][j] = bval;
 #endif
+        for (int j = 0; j < 32; ++j) {
+          acc[j / 8][j % 8] =
+              kAccumulate && j < mb ? yrow[r + static_cast<std::size_t>(m0 + j) * s] : bval;
+        }
         for (int ci = 0; ci < p.cin_g; ++ci) {
           const float* xchan = xg0 + static_cast<std::size_t>(ci) * xplane;
           const float* wbase =
@@ -461,10 +439,9 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xd, const float*
   }
 }
 
+template <bool kAccumulate>
 void conv_transpose2d_forward(const ConvT2dParams& p, const float* xd, const float* wd,
                               const float* bd, float* y) {
-  static const OpStats stats = make_op_stats("conv_transpose2d");
-  OpTimer timer(stats);
   const int row_block = pick_row_block(p.oh, static_cast<std::size_t>(p.ow) * p.cin_g,
                                        static_cast<long long>(p.n) * p.cout);
   const int nrb = div_ceil(p.oh, row_block);
@@ -477,7 +454,7 @@ void conv_transpose2d_forward(const ConvT2dParams& p, const float* xd, const flo
     const int b = static_cast<int>(t / (static_cast<std::size_t>(nrb) * p.cout));
     const int y0 = rb * row_block;
     const int y1 = std::min(p.oh, y0 + row_block);
-    conv_transpose2d_tile(p, xd, wd, bd, y, b, cog, y0, y1);
+    conv_transpose2d_tile<kAccumulate>(p, xd, wd, bd, y, b, cog, y0, y1);
   });
 }
 
@@ -497,12 +474,12 @@ void conv_transpose2d_backward_b(const ConvT2dParams& p, const float* gout_d, fl
   });
 }
 
-/// dX/dW pass: one task per input channel (it owns x.grad[:, ci, ·] and
-/// w.grad[ci, ·]); the loop body is the reference backward body with
-/// the batch loop moved inside the channel loop, preserving every
-/// per-target (b, iy, ix) ascending chain.
-void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, const float* xd,
-                                  const float* wd, float* xg, float* wg) {
+/// dW pass: one task per input channel (it owns w.grad[ci, ·]); the
+/// loop body is the reference backward's dW half with the batch loop
+/// moved inside the channel loop, preserving every per-tap (b, iy, ix)
+/// ascending chain.
+void conv_transpose2d_backward_w(const ConvT2dParams& p, const float* gout_d, const float* xd,
+                                 float* wg) {
   // LACO_DETERMINISTIC: task-per-ci ownership; (b, iy, ix) ascending chains.
   parallel_tiles(static_cast<std::size_t>(p.cin), [&](std::size_t ci_t) {
     const int ci = static_cast<int>(ci_t);
@@ -510,9 +487,7 @@ void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, c
     for (int b = 0; b < p.n; ++b) {
       for (int iy = 0; iy < p.h; ++iy) {
         for (int ix = 0; ix < p.w; ++ix) {
-          const std::size_t xoff = off4(b, ci, iy, ix, p.cin, p.h, p.w);
-          const float xval = xd[xoff];
-          float xgrad = 0.0f;
+          const float xval = xd[off4(b, ci, iy, ix, p.cin, p.h, p.w)];
           for (int co = 0; co < p.cout_g; ++co) {
             const int cog = g * p.cout_g + co;
             for (int dy = 0; dy < p.kh; ++dy) {
@@ -523,13 +498,10 @@ void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, c
                 if (ox < 0 || ox >= p.ow) continue;
                 const float gout = gout_d[off4(b, cog, oy, ox, p.cout, p.oh, p.ow)];
                 if (gout == 0.0f) continue;
-                const std::size_t woff = off4(ci, co, dy, dx, p.cout_g, p.kh, p.kw);
-                if (xg != nullptr) xgrad += gout * wd[woff];
-                if (wg != nullptr) wg[woff] += gout * xval;
+                wg[off4(ci, co, dy, dx, p.cout_g, p.kh, p.kw)] += gout * xval;
               }
             }
           }
-          if (xg != nullptr) xg[xoff] += xgrad;
         }
       }
     }
@@ -560,6 +532,10 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   const int cout_g = cout / groups;
   const Conv2dParams params{n,  cin, h,  w,      cout,   cin_g, kh,
                             kw, oh,  ow, cout_g, groups, stride, padding};
+  // dX is the conv_transpose2d forward of gout over the same weights;
+  // its h x w output is output_padding (h + 2p − kh) mod stride.
+  const ConvT2dParams dx_params{n,  cout, oh, ow, cin, cout_g, cin_g,  groups,
+                                kh, kw,   h,  w,  stride, padding};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -581,11 +557,17 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
                              need_w ? wi->grad.data() : nullptr,
                              need_b ? bi->grad.data() : nullptr);
         }
-        if (need_x) conv2d_backward_x(params, self.grad.data(), wi->data.data(), xi->grad.data());
+        if (need_x) {
+          conv_transpose2d_forward</*kAccumulate=*/true>(
+              dx_params, self.grad.data(), wi->data.data(), nullptr, xi->grad.data());
+        }
       });
 
-  conv2d_forward(params, x.data().data(), weight.data().data(),
-                 bias.defined() ? bias.data().data() : nullptr, out.data().data());
+  static const OpStats stats = make_op_stats("conv2d");
+  OpTimer timer(stats);
+  conv2d_forward</*kAccumulate=*/false>(params, x.data().data(), weight.data().data(),
+                                        bias.defined() ? bias.data().data() : nullptr,
+                                        out.data().data());
   return out;
 }
 
@@ -613,6 +595,9 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   }
   const ConvT2dParams params{n,  cin, h,  w,  cout, cin_g,  cout_g, groups,
                              kh, kw,  oh, ow, stride, padding};
+  // dX is the conv2d forward of gout over the same weights.
+  const Conv2dParams dx_params{n,  cout, oh, ow, cin,   cout_g, kh,
+                               kw, h,    w,  cin_g, groups, stride, padding};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -630,14 +615,20 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
         if (need_w) wi->ensure_grad();
         if (need_b) bi->ensure_grad();
         if (need_b) conv_transpose2d_backward_b(params, self.grad.data(), bi->grad.data());
-        if (!need_x && !need_w) return;
-        conv_transpose2d_backward_xw(params, self.grad.data(), xi->data.data(),
-                                     wi->data.data(), need_x ? xi->grad.data() : nullptr,
-                                     need_w ? wi->grad.data() : nullptr);
+        if (need_w) {
+          conv_transpose2d_backward_w(params, self.grad.data(), xi->data.data(), wi->grad.data());
+        }
+        if (need_x) {
+          conv2d_forward</*kAccumulate=*/true>(
+              dx_params, self.grad.data(), wi->data.data(), nullptr, xi->grad.data());
+        }
       });
 
-  conv_transpose2d_forward(params, x.data().data(), weight.data().data(),
-                           bias.defined() ? bias.data().data() : nullptr, out.data().data());
+  static const OpStats stats = make_op_stats("conv_transpose2d");
+  OpTimer timer(stats);
+  conv_transpose2d_forward</*kAccumulate=*/false>(
+      params, x.data().data(), weight.data().data(),
+      bias.defined() ? bias.data().data() : nullptr, out.data().data());
   return out;
 }
 

@@ -6,6 +6,7 @@
 // bitwise determinism across ThreadPool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "nn/kernel_pool.hpp"
 #include "nn/ops.hpp"
 #include "nn/reference_kernels.hpp"
+#include "obs/metrics.hpp"
 
 namespace laco::nn {
 namespace {
@@ -48,6 +50,10 @@ testing::AssertionResult bitwise_equal(const std::vector<float>& a, const std::v
   return testing::AssertionSuccess();
 }
 
+/// Kernel thread counts every dX case runs at (the reference is
+/// single-threaded, so matching it at each count also pins determinism).
+constexpr int kThreadCounts[] = {1, 2, 8};
+
 // ------------------------------------------------------------- conv2d
 
 struct ConvCase {
@@ -74,6 +80,8 @@ const ConvCase kConvCases[] = {
     {1, 1, 3, 3, 1, 3, 3, 1, 2, 1},   // padding wider than interior
     {1, 2, 4, 4, 2, 4, 4, 2, 1, 2},   // even kernel, grouped, strided
     {1, 3, 16, 12, 5, 3, 3, 1, 1, 1}, // bigger: interior GEMM dominates
+    {1, 3, 8, 8, 4, 3, 3, 2, 1, 1},   // (h + 2p − k) mod s = 1: dX dual has output_padding 1
+    {1, 2, 9, 8, 3, 3, 3, 3, 1, 1},   // remainders 2 x 1: output_padding differs per axis
 };
 
 class Conv2dDifferential : public testing::TestWithParam<ConvCase> {};
@@ -98,6 +106,24 @@ TEST_P(Conv2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
   EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad")) << conv_case_name(c);
   EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad")) << conv_case_name(c);
   EXPECT_TRUE(bitwise_equal(b.grad(), br.grad(), "b.grad")) << conv_case_name(c);
+}
+
+TEST_P(Conv2dDifferential, FrozenWeightInputGradBitwise) {
+  // The placement penalty freezes every weight: backward computes dX only.
+  const ConvCase c = GetParam();
+  Tensor x0 = randn({c.n, c.cin, c.h, c.w}, 110 + c.h);
+  Tensor w = randn({c.cout, c.cin / c.groups, c.kh, c.kw}, 210 + c.kh);
+  Tensor b = randn({c.cout}, 310 + c.cout);
+  for (int threads : kThreadCounts) {
+    set_kernel_threads(threads);
+    Tensor x = copy_of(x0, true), xr = copy_of(x0, true);
+    sum(square(conv2d(x, w, b, c.stride, c.padding, c.groups))).backward();
+    sum(square(reference::conv2d(xr, w, b, c.stride, c.padding, c.groups))).backward();
+    EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad"))
+        << conv_case_name(c) << ", " << threads << " threads";
+    EXPECT_TRUE(w.grad().empty()) << conv_case_name(c);
+  }
+  set_kernel_threads(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, Conv2dDifferential, testing::ValuesIn(kConvCases),
@@ -178,6 +204,26 @@ TEST_P(ConvT2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
   EXPECT_TRUE(bitwise_equal(b.grad(), br.grad(), "b.grad")) << convt_case_name(c);
 }
 
+TEST_P(ConvT2dDifferential, FrozenWeightInputGradBitwise) {
+  const ConvTCase c = GetParam();
+  Tensor x0 = randn({c.n, c.cin, c.h, c.w}, 410 + c.h);
+  Tensor w = randn({c.cin, c.cout_g, c.kh, c.kw}, 510 + c.kw);
+  Tensor b = randn({c.cout_g * c.groups}, 610 + c.cout_g);
+  for (int threads : kThreadCounts) {
+    set_kernel_threads(threads);
+    Tensor x = copy_of(x0, true), xr = copy_of(x0, true);
+    sum(square(conv_transpose2d(x, w, b, c.stride, c.padding, c.output_padding, c.groups)))
+        .backward();
+    sum(square(reference::conv_transpose2d(xr, w, b, c.stride, c.padding, c.output_padding,
+                                           c.groups)))
+        .backward();
+    EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad"))
+        << convt_case_name(c) << ", " << threads << " threads";
+    EXPECT_TRUE(w.grad().empty()) << convt_case_name(c);
+  }
+  set_kernel_threads(1);
+}
+
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, ConvT2dDifferential, testing::ValuesIn(kConvTCases),
                          [](const testing::TestParamInfo<ConvTCase>& info) {
                            return convt_case_name(info.param);
@@ -191,6 +237,58 @@ TEST(ConvT2dDifferential, ZeroRegionInputBitwise) {
   Tensor y = conv_transpose2d(x, w, Tensor(), 2, 1);
   Tensor yr = reference::conv_transpose2d(copy_of(x), copy_of(w), Tensor(), 2, 1);
   EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+}
+
+TEST(ConvT2dDifferential, SparseUpstreamGradientBitwise) {
+  // relu zeroes most of the upstream gradient: the gout == 0 skip of
+  // the reference backward against the skip-free conv2d dX dual.
+  Tensor x0 = randn({1, 3, 6, 5}, 81);
+  Tensor w0 = randn({3, 2, 4, 4}, 82);
+  Tensor b = randn({2}, 83);
+  for (int threads : kThreadCounts) {
+    set_kernel_threads(threads);
+    Tensor x = copy_of(x0, true), w = copy_of(w0, true);
+    Tensor xr = copy_of(x0, true), wr = copy_of(w0, true);
+    sum(relu(conv_transpose2d(x, w, b, 2, 1))).backward();
+    sum(relu(reference::conv_transpose2d(xr, wr, b, 2, 1))).backward();
+    EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad")) << threads << " threads";
+    EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad")) << threads << " threads";
+  }
+  set_kernel_threads(1);
+}
+
+// ------------------------------------------------- shared-input dX chains
+
+/// One input feeding several frozen-weight convs, as InceptionBlock's
+/// branches share theirs: every dX pass after the first starts from a
+/// nonzero x.grad. A conv_transpose2d opens the loss and a conv2d closes
+/// it, so both dual paths continue a chain whatever order backward runs
+/// the ops in.
+std::vector<float> shared_input_grad(const Tensor& x0, bool use_reference) {
+  const auto c2d = use_reference ? &reference::conv2d : &conv2d;
+  const auto ct2d = use_reference ? &reference::conv_transpose2d : &conv_transpose2d;
+  Tensor x = copy_of(x0, true);
+  const Tensor w3 = randn({4, 4, 3, 3}, 91), w5 = randn({4, 2, 5, 5}, 92);
+  const Tensor w1 = randn({2, 4, 1, 1}, 93), wt = randn({4, 3, 4, 4}, 94);
+  const Tensor wt3 = randn({4, 1, 3, 3}, 96), b = randn({4}, 95);
+  Tensor loss = sum(square(ct2d(x, wt, Tensor(), 2, 1, 1, 1)));
+  loss = add(loss, sum(square(c2d(x, w3, b, 1, 1, 1))));
+  loss = add(loss, sum(square(c2d(x, w5, b, 2, 2, 2))));
+  loss = add(loss, sum(square(ct2d(x, wt3, Tensor(), 1, 1, 0, 2))));
+  loss = add(loss, sum(square(c2d(x, w1, Tensor(), 1, 0, 1))));
+  loss.backward();
+  return x.grad();
+}
+
+TEST(SharedInputDifferential, AccumulatedInputGradBitwise) {
+  const Tensor x0 = randn({2, 4, 7, 6}, 90);
+  const std::vector<float> ref = shared_input_grad(x0, true);
+  for (int threads : kThreadCounts) {
+    set_kernel_threads(threads);
+    EXPECT_TRUE(bitwise_equal(shared_input_grad(x0, false), ref, "x.grad"))
+        << threads << " threads";
+  }
+  set_kernel_threads(1);
 }
 
 // ----------------------------------------------------------- group_norm
@@ -333,6 +431,25 @@ TEST(KernelDeterminism, BitwiseIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(bitwise_equal(base.gg, r.gg, "gamma.grad")) << threads << " threads";
   }
   set_kernel_threads(1);
+}
+
+TEST(KernelCounters, BackwardChargedToItsOwnOp) {
+  // Each dX runs on the other op's forward tiles; the calls must still
+  // be charged to the op whose backward ran, never to a forward.
+  const auto calls = [](const char* op) {
+    return obs::MetricRegistry::global().counter(std::string("nn.op.") + op + ".calls").value();
+  };
+  const auto counts = [&] {
+    return std::vector<std::uint64_t>{calls("conv2d"), calls("conv2d_bwd"),
+                                      calls("conv_transpose2d"), calls("conv_transpose2d_bwd")};
+  };
+  Tensor x = randn({1, 2, 6, 6}, 96);
+  x.set_requires_grad(true);
+  const std::vector<std::uint64_t> c = counts();
+  sum(conv2d(x, randn({3, 2, 3, 3}, 97), Tensor(), 2, 1)).backward();
+  EXPECT_EQ(counts(), (std::vector<std::uint64_t>{c[0] + 1, c[1] + 1, c[2], c[3]}));
+  sum(conv_transpose2d(x, randn({2, 3, 4, 4}, 98), Tensor(), 2, 1)).backward();
+  EXPECT_EQ(counts(), (std::vector<std::uint64_t>{c[0] + 1, c[1] + 1, c[2] + 1, c[3] + 1}));
 }
 
 TEST(KernelDeterminism, MatchesReferenceAtEightThreads) {
